@@ -184,7 +184,11 @@ func BenchmarkE7Ablation(b *testing.B) {
 }
 
 // BenchmarkE8CorpusSuggestions measures corpus suggestion retrieval at
-// several corpus sizes (experiment E8).
+// several corpus sizes (experiment E8). The corpus-N arms hold only
+// correct sentences; the mix-N arms hold a semester-shaped store —
+// workload.DefaultMix verdicts, so about half the records are not
+// correct and never suggested — queried with the syntax errors' own
+// topics, as the Learning_Angel queries it.
 func BenchmarkE8CorpusSuggestions(b *testing.B) {
 	onto := ontology.BuildCourseOntology()
 	for _, size := range []int{100, 1000, 10000} {
@@ -207,6 +211,31 @@ func BenchmarkE8CorpusSuggestions(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				store.Suggest(queries[i%len(queries)], nil, 3)
+			}
+		})
+	}
+	for _, size := range []int{20000, 100000} {
+		b.Run(fmt.Sprintf("mix-%d", size), func(b *testing.B) {
+			gen := workload.NewGenerator(8, onto)
+			store := corpus.NewStore()
+			for _, s := range gen.Generate(size, workload.DefaultMix()) {
+				store.Add(corpus.Record{
+					Text:    s.Text,
+					Tokens:  linkgrammar.Tokenize(s.Text),
+					Verdict: corpus.Verdict(s.Kind), // kinds and verdicts share codes 1-4
+					Topics:  s.Topics,
+				})
+			}
+			queries := make([]workload.Sample, 64)
+			tokens := make([][]string, len(queries))
+			for i := range queries {
+				queries[i] = gen.SyntaxError()
+				tokens[i] = linkgrammar.Tokenize(queries[i].Text)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := i % len(queries)
+				store.Suggest(tokens[q], queries[q].Topics, 3)
 			}
 		})
 	}

@@ -68,8 +68,10 @@ type Config struct {
 	Now func() time.Time
 	// Metrics, if set, registers per-stage latency histograms
 	// (semagent_stage_seconds{stage=angel|semantic|qa}), the whole-
-	// pipeline semagent_process_seconds, and per-verdict message
-	// counters. Nil runs the hot path uninstrumented at zero cost.
+	// pipeline semagent_process_seconds, per-verdict message counters,
+	// and scrape-time views of the corpus and parse-cache counters
+	// (semagent_corpus_*, semagent_parse_cache_*). Nil runs the hot
+	// path uninstrumented at zero cost.
 	Metrics *metrics.Registry
 }
 
@@ -98,6 +100,27 @@ func newSupMetrics(r *metrics.Registry) *supMetrics {
 		m.verdicts[v] = r.Counter("semagent_messages_total", "supervised messages by verdict", metrics.L("verdict", v.String()))
 	}
 	return m
+}
+
+// registerStoreMetrics exports the counters the corpus and the parse
+// cache already keep, read at scrape time.
+func registerStoreMetrics(r *metrics.Registry, store *corpus.Store, parser *linkgrammar.Parser) {
+	r.GaugeFunc("semagent_corpus_records", "learner-corpus records of every verdict",
+		func() int64 { return int64(store.Stats().Records) })
+	r.GaugeFunc("semagent_corpus_suggest_groups", "suggestion-index groups: distinct (content tokens, topics) keys among correct records",
+		func() int64 { return int64(store.Stats().Groups) })
+	r.CounterFunc("semagent_corpus_suggest_calls_total", "corpus suggestion searches",
+		func() int64 { return store.Stats().SuggestCalls })
+	r.CounterFunc("semagent_corpus_suggest_groups_scored_total", "suggestion groups scored across searches",
+		func() int64 { return store.Stats().GroupsScored })
+	r.CounterFunc("semagent_parse_cache_hits_total", "parse-cache lookups served from the cache",
+		func() int64 { return parser.CacheStats().Hits })
+	r.CounterFunc("semagent_parse_cache_misses_total", "parse-cache lookups that parsed",
+		func() int64 { return parser.CacheStats().Misses })
+	r.CounterFunc("semagent_parse_cache_evictions_total", "parse-cache entries dropped for capacity",
+		func() int64 { return parser.CacheStats().Evictions })
+	r.CounterFunc("semagent_parse_cache_invalidations_total", "whole parse-cache flushes forced by dictionary changes",
+		func() int64 { return parser.CacheStats().Invalidations })
 }
 
 func (m *supMetrics) record(v corpus.Verdict, start time.Time) {
@@ -196,6 +219,9 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	if s.now == nil {
 		s.now = timeNow
+	}
+	if r := cfg.Metrics; r != nil {
+		registerStoreMetrics(r, store, parser)
 	}
 	if err := s.syncVocabulary(onto.Snapshot()); err != nil {
 		return nil, fmt.Errorf("teach ontology terms: %w", err)

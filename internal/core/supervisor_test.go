@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"semagent/internal/corpus"
+	"semagent/internal/metrics"
 	"semagent/internal/semantic"
 )
 
@@ -228,5 +229,46 @@ func TestSupervisorParserIsFaultTolerant(t *testing.T) {
 	}
 	if !a.Syntax.Parsed || len(a.Syntax.NullTokens) == 0 {
 		t.Errorf("error not localized: parsed=%v nulls=%v", a.Syntax.Parsed, a.Syntax.NullTokens)
+	}
+}
+
+func TestStoreCountersExported(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, err := New(Config{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		"The stack has a push operation.",
+		"The stack has a push operation.",
+		"The stack have a push operation.",
+	} {
+		if _, err := s.Process("room", "alice", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(map[string]int64)
+	for _, f := range reg.Snapshot().Families {
+		if len(f.Series) == 1 {
+			got[f.Name] = f.Series[0].Value
+		}
+	}
+	for name, want := range map[string]int64{
+		"semagent_corpus_records":         3,
+		"semagent_corpus_suggest_groups":  1,
+		"semagent_parse_cache_hits_total": 1,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %d, want %d", name, got[name], want)
+		}
+	}
+	for _, name := range []string{
+		"semagent_corpus_suggest_calls_total",
+		"semagent_corpus_suggest_groups_scored_total",
+		"semagent_parse_cache_misses_total",
+	} {
+		if got[name] < 1 {
+			t.Errorf("%s = %d, want at least 1", name, got[name])
+		}
 	}
 }

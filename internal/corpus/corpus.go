@@ -7,12 +7,14 @@ package corpus
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semagent/internal/sentence"
@@ -62,11 +64,6 @@ type Record struct {
 	Topics []string `json:"topics,omitempty"`
 	// Tags carries free-form labels ("agreement", "determiner", ...).
 	Tags []string `json:"tags,omitempty"`
-
-	// contentLen caches len(uniqueContentTokens(Tokens)), computed when
-	// the record is indexed. Suggest's Jaccard union needs only the
-	// count, so candidates are scored without re-tokenizing the record.
-	contentLen int
 }
 
 // Observer is the write-ahead-log hook: it receives every mutation
@@ -78,19 +75,45 @@ type Record struct {
 // journaling.
 type Observer func(Record) uint64
 
-// Store is the in-memory learner corpus with an inverted token index.
+// Store is the in-memory learner corpus with a grouped suggestion
+// index (see Suggest).
 type Store struct {
 	mu      sync.RWMutex
 	records []*Record
-	byToken map[string][]int64 // content token -> record IDs
 	byID    map[int64]*Record
 	nextID  int64
+
+	// The suggestion index covers correct records only. Records with
+	// the same content-token set and the same Topics list score alike
+	// against every query, so they share one group; postings map a
+	// content token to the ordinals of the groups holding it. Groups
+	// are never removed: one emptied by a Put replacement stays in
+	// place, skipped by Suggest, until a record with its key returns.
+	groups     []suggestGroup
+	byKey      map[string]int32   // groupKey encoding -> ordinal
+	postings   map[string][]int32 // content token -> group ordinals
+	liveGroups int                // groups with at least one member
+
+	// keyBuf and setBuf are index-maintenance scratch, used only under
+	// the write lock.
+	keyBuf []byte
+	setBuf []string
+
+	suggestCalls atomic.Int64
+	groupsScored atomic.Int64
 
 	// observer and lsn implement the journal hook: lsn is the highest
 	// WAL sequence number reflected in the store's state, persisted by
 	// SaveJSONL and used on recovery to skip already-applied records.
 	observer Observer
 	lsn      uint64
+}
+
+// suggestGroup is one class of interchangeable suggestion candidates.
+type suggestGroup struct {
+	contentLen int      // size of the shared content-token set
+	topics     []string // the shared Topics list, order and duplicates kept
+	ids        []int64  // member record IDs, ascending
 }
 
 // SetObserver installs the journal hook (nil to detach).
@@ -119,9 +142,10 @@ func (s *Store) SetJournalLSN(v uint64) {
 // NewStore returns an empty corpus.
 func NewStore() *Store {
 	return &Store{
-		byToken: make(map[string][]int64),
-		byID:    make(map[int64]*Record),
-		nextID:  1,
+		byID:     make(map[int64]*Record),
+		byKey:    make(map[string]int32),
+		postings: make(map[string][]int32),
+		nextID:   1,
 	}
 }
 
@@ -142,11 +166,7 @@ func (s *Store) Add(r Record) int64 {
 	rec.Tags = append([]string(nil), r.Tags...)
 	s.records = append(s.records, &rec)
 	s.byID[rec.ID] = &rec
-	content := uniqueContentTokens(rec.Tokens)
-	rec.contentLen = len(content)
-	for _, t := range content {
-		s.byToken[t] = append(s.byToken[t], rec.ID)
-	}
+	s.index(&rec)
 	if s.observer != nil {
 		s.lsn = s.observer(rec)
 	}
@@ -170,36 +190,108 @@ func (s *Store) putLocked(r Record) {
 	stored.Topics = append([]string(nil), r.Topics...)
 	stored.Tags = append([]string(nil), r.Tags...)
 	if old, ok := s.byID[stored.ID]; ok {
-		// Replace in place: drop the old token postings, overwrite the
-		// shared record (records slice and byID point at the same
-		// *Record), and index the new tokens.
-		for _, t := range uniqueContentTokens(old.Tokens) {
-			ids := s.byToken[t]
-			keep := ids[:0]
-			for _, id := range ids {
-				if id != old.ID {
-					keep = append(keep, id)
-				}
-			}
-			if len(keep) == 0 {
-				delete(s.byToken, t)
-			} else {
-				s.byToken[t] = keep
-			}
-		}
+		// Replace in place: the records slice and byID share the
+		// *Record, so only the index entry has to move.
+		s.unindex(old)
 		*old = stored
 	} else {
 		s.records = append(s.records, &stored)
 		s.byID[stored.ID] = &stored
 	}
 	rec := s.byID[stored.ID]
-	content := uniqueContentTokens(rec.Tokens)
-	rec.contentLen = len(content)
-	for _, t := range content {
-		s.byToken[t] = append(s.byToken[t], rec.ID)
-	}
+	s.index(rec)
 	if rec.ID >= s.nextID {
 		s.nextID = rec.ID + 1
+	}
+}
+
+// groupKey encodes r's suggestion-group key into s.keyBuf and leaves
+// its sorted content-token set in s.setBuf. It reports false when r
+// is not indexed: only correct records with at least one content token
+// can ever be suggested.
+func (s *Store) groupKey(r *Record) bool {
+	if r.Verdict != VerdictCorrect {
+		return false
+	}
+	s.setBuf = appendContentSet(s.setBuf[:0], r.Tokens)
+	if len(s.setBuf) == 0 {
+		return false
+	}
+	// Length-prefixed, so no token or topic text can forge a boundary.
+	buf := binary.AppendUvarint(s.keyBuf[:0], uint64(len(s.setBuf)))
+	for _, t := range s.setBuf {
+		buf = binary.AppendUvarint(buf, uint64(len(t)))
+		buf = append(buf, t...)
+	}
+	for _, t := range r.Topics {
+		buf = binary.AppendUvarint(buf, uint64(len(t)))
+		buf = append(buf, t...)
+	}
+	s.keyBuf = buf
+	return true
+}
+
+// index adds r to its suggestion group, creating the group on first
+// sight of its key. Callers hold the write lock.
+func (s *Store) index(r *Record) {
+	if !s.groupKey(r) {
+		return
+	}
+	g, ok := s.byKey[string(s.keyBuf)]
+	if !ok {
+		g = int32(len(s.groups))
+		s.groups = append(s.groups, suggestGroup{contentLen: len(s.setBuf), topics: slices.Clone(r.Topics)})
+		s.byKey[string(s.keyBuf)] = g
+		for _, t := range s.setBuf {
+			s.postings[t] = append(s.postings[t], g)
+		}
+	}
+	grp := &s.groups[g]
+	if len(grp.ids) == 0 {
+		s.liveGroups++
+	}
+	i, _ := slices.BinarySearch(grp.ids, r.ID)
+	grp.ids = slices.Insert(grp.ids, i, r.ID)
+}
+
+// unindex removes r from its suggestion group. Callers hold the write
+// lock.
+func (s *Store) unindex(r *Record) {
+	if !s.groupKey(r) {
+		return
+	}
+	grp := &s.groups[s.byKey[string(s.keyBuf)]]
+	if i, ok := slices.BinarySearch(grp.ids, r.ID); ok {
+		grp.ids = slices.Delete(grp.ids, i, i+1)
+		if len(grp.ids) == 0 {
+			s.liveGroups--
+		}
+	}
+}
+
+// Stats is a snapshot of a store's size and suggestion-index counters.
+type Stats struct {
+	// Records counts stored records of every verdict.
+	Records int
+	// Groups counts non-empty suggestion groups: distinct (content-
+	// token set, Topics) keys among the correct records.
+	Groups int
+	// SuggestCalls counts Suggest calls with a non-empty query.
+	SuggestCalls int64
+	// GroupsScored counts groups scored across those calls — the
+	// candidates a suggestion actually examined.
+	GroupsScored int64
+}
+
+// Stats reports the store's counters.
+func (s *Store) Stats() Stats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return Stats{
+		Records:      len(s.records),
+		Groups:       s.liveGroups,
+		SuggestCalls: s.suggestCalls.Load(),
+		GroupsScored: s.groupsScored.Load(),
 	}
 }
 
@@ -254,72 +346,124 @@ type Suggestion struct {
 // content tokens with a bonus for shared ontology topics — the
 // "search for the suitable sentences from Learner Corpus" step of the
 // paper's Figure 4.
+//
+// The search runs over suggestion groups, not records: every member
+// of a group has the same content-token set and Topics list, hence
+// the same score, so each group touched by a query token is scored
+// once and offers its lowest IDs to a bounded top-limit list ordered
+// by (score desc, ID asc). Only the winners' Records are copied. The
+// result is exactly what scoring every correct record would give.
 func (s *Store) Suggest(tokens []string, topics []string, limit int) []Suggestion {
 	if limit <= 0 {
 		limit = 3
 	}
-	query := uniqueContentTokens(tokens)
+	sc := suggestScratchPool.Get().(*suggestScratch)
+	defer suggestScratchPool.Put(sc)
+	sc.query = appendContentSet(sc.query[:0], tokens)
+	query := sc.query
 	if len(query) == 0 {
 		return nil
-	}
-	topicSet := make(map[string]bool, len(topics))
-	for _, t := range topics {
-		topicSet[t] = true
 	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Gather candidates via the inverted index.
-	hits := make(map[int64]int)
+	// Count shared tokens per group in a dense counter; touched lists
+	// the non-zero entries so they can be scored and reset.
+	if len(sc.shared) < len(s.groups) {
+		sc.shared = make([]int32, len(s.groups))
+	}
+	touched := sc.touched[:0]
 	for _, t := range query {
-		for _, id := range s.byToken[t] {
-			hits[id]++
+		for _, g := range s.postings[t] {
+			if sc.shared[g] == 0 {
+				touched = append(touched, g)
+			}
+			sc.shared[g]++
 		}
 	}
-	// Score candidates by ID + cached content-token count only; the
-	// full Record is copied just for the winners below, so a query
-	// against a large corpus stays O(candidates) small allocations
-	// instead of re-tokenizing and copying every matching record.
-	type scored struct {
-		id    int64
-		score float64
-	}
-	cands := make([]scored, 0, len(hits))
-	for id, shared := range hits {
-		r := s.byID[id]
-		if r.Verdict != VerdictCorrect {
+	sc.touched = touched
+	s.suggestCalls.Add(1)
+	s.groupsScored.Add(int64(len(touched)))
+
+	top := sc.top[:0]
+	for _, g := range touched {
+		shared := int(sc.shared[g])
+		sc.shared[g] = 0
+		grp := &s.groups[g]
+		if len(grp.ids) == 0 {
 			continue
 		}
-		union := r.contentLen + len(query) - shared
-		if union <= 0 {
-			continue
-		}
+		union := grp.contentLen + len(query) - shared
 		score := float64(shared) / float64(union)
-		for _, topic := range r.Topics {
-			if topicSet[topic] {
+		if len(top) == limit {
+			// Every topic hit adds 0.25, added in the same order as
+			// below, so bound is never below the final score: a group
+			// that cannot reach the last place skips the topic scan.
+			bound := score
+			for range grp.topics {
+				bound += 0.25
+			}
+			if bound < top[limit-1].score {
+				continue
+			}
+		}
+		for _, topic := range grp.topics {
+			if slices.Contains(topics, topic) {
 				score += 0.25
 			}
 		}
-		cands = append(cands, scored{id: id, score: score})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+		// Members tie on score, so ascending IDs enter in rank order and
+		// the first one refused ends the group.
+		for _, id := range grp.ids {
+			var ok bool
+			if top, ok = offer(top, limit, scored{id: id, score: score}); !ok {
+				break
+			}
 		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > limit {
-		cands = cands[:limit]
 	}
-	if len(cands) == 0 {
+	sc.top = top
+	if len(top) == 0 {
 		return nil
 	}
-	out := make([]Suggestion, len(cands))
-	for i, c := range cands {
+	out := make([]Suggestion, len(top))
+	for i, c := range top {
 		out[i] = Suggestion{Record: *s.byID[c.id], Score: c.score}
 	}
 	return out
 }
+
+// scored is a suggestion candidate before its Record is copied.
+type scored struct {
+	id    int64
+	score float64
+}
+
+// offer inserts c into top, kept sorted by (score desc, ID asc) and
+// at most limit long, and reports whether c made the cut.
+func offer(top []scored, limit int, c scored) ([]scored, bool) {
+	i := len(top)
+	for i > 0 && (top[i-1].score < c.score || top[i-1].score == c.score && top[i-1].id > c.id) {
+		i--
+	}
+	if i >= limit {
+		return top, false
+	}
+	if len(top) == limit {
+		top = top[:limit-1]
+	}
+	return slices.Insert(top, i, c), true
+}
+
+// suggestScratch is Suggest's per-call working memory, pooled because
+// Suggest runs under the read lock and so may run concurrently.
+type suggestScratch struct {
+	query   []string
+	shared  []int32 // group ordinal -> shared query tokens, all zero between calls
+	touched []int32
+	top     []scored
+}
+
+var suggestScratchPool = sync.Pool{New: func() any { return new(suggestScratch) }}
 
 // ByTopic returns copies of records mentioning the given ontology term.
 func (s *Store) ByTopic(topic string) []Record {
@@ -381,20 +525,20 @@ func LoadJSONL(r io.Reader) (*Store, error) {
 	defer s.mu.Unlock()
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		if strings.HasPrefix(text, jsonlHeaderPrefix) {
+		if bytes.HasPrefix(text, []byte(jsonlHeaderPrefix)) {
 			var h jsonlHeader
-			if err := json.Unmarshal([]byte(text), &h); err != nil {
+			if err := json.Unmarshal(text, &h); err != nil {
 				return nil, fmt.Errorf("corpus header line %d: %w", line, err)
 			}
 			s.lsn = h.JournalLSN
 			continue
 		}
 		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
+		if err := json.Unmarshal(text, &rec); err != nil {
 			return nil, fmt.Errorf("corpus line %d: %w", line, err)
 		}
 		s.putLocked(rec)
@@ -405,14 +549,16 @@ func LoadJSONL(r io.Reader) (*Store, error) {
 	return s, nil
 }
 
-func uniqueContentTokens(tokens []string) []string {
-	seen := make(map[string]bool, len(tokens))
-	out := make([]string, 0, len(tokens))
-	for _, t := range sentence.ContentTokens(tokens) {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+// appendContentSet appends the distinct content tokens of tokens to
+// dst in sorted order.
+func appendContentSet(dst []string, tokens []string) []string {
+	start := len(dst)
+	for _, t := range tokens {
+		if !sentence.Stopwords[t] {
+			dst = append(dst, t)
 		}
 	}
-	return out
+	set := dst[start:]
+	slices.Sort(set)
+	return dst[:start+len(slices.Compact(set))]
 }

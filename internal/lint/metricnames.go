@@ -35,7 +35,7 @@ var MetricNames = &analysis.Analyzer{
 
 var (
 	metricNamesPkg     = "semagent/internal/metrics"
-	metricNamesMethods = "Counter,Gauge,GaugeFunc,DurationHistogram,HistogramWithBounds"
+	metricNamesMethods = "Counter,CounterFunc,Gauge,GaugeFunc,DurationHistogram,HistogramWithBounds"
 	metricNamesPrefix  = "semagent_"
 )
 

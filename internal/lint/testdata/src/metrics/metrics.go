@@ -18,6 +18,9 @@ type Label struct{ Name, Value string }
 // Counter registers (or returns) a counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter { return nil }
 
+// CounterFunc registers a callback-backed counter.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {}
+
 // Gauge registers (or returns) a gauge, stored as a counter here.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Counter { return nil }
 

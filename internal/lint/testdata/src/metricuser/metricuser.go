@@ -30,7 +30,8 @@ func BadCharset(r *metrics.Registry) {
 
 // WrongPrefix forgets the module prefix.
 func WrongPrefix(r *metrics.Registry) {
-	r.Counter("chat_messages_total", "messages") // want `lacks the "semagent_" prefix`
+	r.Counter("chat_messages_total", "messages")         // want `lacks the "semagent_" prefix`
+	r.CounterFunc("parse_cache_hits_total", "hits", nil) // want `lacks the "semagent_" prefix`
 }
 
 // Bridged re-exports another system's series name under the escape

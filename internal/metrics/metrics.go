@@ -206,8 +206,21 @@ type series struct {
 	labels  []Label
 	counter *Counter
 	gauge   *Gauge
-	gaugeFn func() int64
+	fn      func() int64 // a GaugeFunc or CounterFunc series
 	hist    *Histogram
+}
+
+// value reads a counter or gauge series.
+func (s *series) value() int64 {
+	switch {
+	case s.fn != nil:
+		return s.fn()
+	case s.counter != nil:
+		return s.counter.Value()
+	case s.gauge != nil:
+		return s.gauge.Value()
+	}
+	return 0
 }
 
 func (s *series) labelKey() string { return labelKey(s.labels) }
@@ -288,6 +301,7 @@ func (f *family) get(labels []Label) (*series, bool) {
 }
 
 // Counter registers (or returns) the counter series name{labels...}.
+// Panics if the series was registered as a CounterFunc.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -295,7 +309,28 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if !ok {
 		s.counter = &Counter{}
 	}
+	if s.counter == nil {
+		panic(fmt.Sprintf("metrics: %s registered as a counter func, requested as a counter", name))
+	}
 	return s.counter
+}
+
+// CounterFunc registers a pull-time counter, the counter twin of
+// GaugeFunc: fn is called at scrape and snapshot time and must never
+// decrease. It exports totals another subsystem already keeps (parse-
+// cache hits, suggestion calls). As with GaugeFunc, the first
+// registration of a series wins.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s, existed := r.family(name, help, KindCounter).get(labels)
+	if existed {
+		if s.fn == nil {
+			panic(fmt.Sprintf("metrics: %s registered as a counter, requested as a counter func", name))
+		}
+		return
+	}
+	s.fn = fn
 }
 
 // Gauge registers (or returns) the gauge series name{labels...}.
@@ -326,7 +361,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 	defer r.mu.Unlock()
 	s, existed := r.family(name, help, KindGauge).get(labels)
 	if existed {
-		if s.gaugeFn == nil {
+		if s.fn == nil {
 			// A set-point gauge already owns the series; silently
 			// discarding fn would leave the scrape reading a value
 			// nobody updates.
@@ -334,7 +369,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label
 		}
 		return
 	}
-	s.gaugeFn = fn
+	s.fn = fn
 }
 
 // DurationHistogram registers (or returns) a latency histogram that
@@ -472,20 +507,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range f.series {
 			switch f.kind {
-			case KindCounter:
+			case KindCounter, KindGauge:
 				b.WriteString(f.name)
 				writeLabels(&b, s.labels)
-				fmt.Fprintf(&b, " %d\n", s.counter.Value())
-			case KindGauge:
-				v := int64(0)
-				if s.gaugeFn != nil {
-					v = s.gaugeFn()
-				} else if s.gauge != nil {
-					v = s.gauge.Value()
-				}
-				b.WriteString(f.name)
-				writeLabels(&b, s.labels)
-				fmt.Fprintf(&b, " %d\n", v)
+				fmt.Fprintf(&b, " %d\n", s.value())
 			case KindHistogram:
 				h := s.hist
 				var cum int64
@@ -564,14 +589,8 @@ func (r *Registry) Snapshot() Snapshot {
 		for _, s := range f.series {
 			ss := SeriesSnapshot{Labels: s.labels}
 			switch f.kind {
-			case KindCounter:
-				ss.Value = s.counter.Value()
-			case KindGauge:
-				if s.gaugeFn != nil {
-					ss.Value = s.gaugeFn()
-				} else if s.gauge != nil {
-					ss.Value = s.gauge.Value()
-				}
+			case KindCounter, KindGauge:
+				ss.Value = s.value()
 			case KindHistogram:
 				ss.Count = s.hist.Count()
 				ss.Sum = s.hist.Sum()

@@ -52,6 +52,21 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("test_x_total", "x")
 }
 
+func TestCounterFuncVersusCounterPanics(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("test_y_total", "y", func() int64 { return 1 })
+	r.CounterFunc("test_y_total", "y", func() int64 { return 2 }) // first registration wins
+	if got := r.Snapshot().Families[0].Series[0].Value; got != 1 {
+		t.Fatalf("counter func value = %d, want 1", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic asking for a counter func series as a counter")
+		}
+	}()
+	r.Counter("test_y_total", "y")
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	h := NewHistogram(DefDurationBounds(), 1e-9)
 	// 1000 samples uniform in [1ms, 2ms): they straddle the 1.024ms
@@ -121,6 +136,7 @@ func TestWritePrometheusValidates(t *testing.T) {
 	r.Counter("semagent_msgs_total", "messages", L("verdict", "syntax-error")).Add(1)
 	r.Gauge("semagent_depth", "queue depth").Set(12)
 	r.GaugeFunc("semagent_rooms", "active rooms", func() int64 { return 4 })
+	r.CounterFunc("semagent_hits_total", "cache hits", func() int64 { return 7 })
 	h := r.DurationHistogram("semagent_stage_seconds", "stage latency", L("stage", "angel"))
 	for i := 0; i < 100; i++ {
 		h.ObserveDuration(time.Duration(i) * 50 * time.Microsecond)
@@ -137,6 +153,8 @@ func TestWritePrometheusValidates(t *testing.T) {
 		`semagent_msgs_total{verdict="correct"} 3`,
 		"semagent_depth 12",
 		"semagent_rooms 4",
+		"# TYPE semagent_hits_total counter",
+		"semagent_hits_total 7",
 		`semagent_stage_seconds_bucket{stage="angel",le="+Inf"} 100`,
 		"semagent_stage_seconds_count{stage=\"angel\"} 100",
 		"# TYPE semagent_stage_seconds histogram",
