@@ -49,6 +49,28 @@ func BenchmarkE1ParserThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkParserFaultTolerant measures uncached parses of syntax-error
+// sentences, the week-one shape: none parses whole, so every parse runs
+// the null-word search up to the supervisor's budget.
+func BenchmarkParserFaultTolerant(b *testing.B) {
+	sup, err := core.New(core.Config{DisableRecording: true, ParserOptions: uncached})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewGenerator(13, sup.Ontology())
+	sentences := make([]string, 256)
+	for i := range sentences {
+		sentences[i] = gen.SyntaxError().Text
+	}
+	parser := sup.Parser()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := parser.Parse(sentences[i%len(sentences)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE2AngelPipeline measures the Learning_Angel check, half the
 // inputs corrupted (experiment E2). The error path includes the repair
 // search, so this is the realistic supervision cost.

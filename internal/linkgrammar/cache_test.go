@@ -127,7 +127,9 @@ func TestParseCacheInvalidation(t *testing.T) {
 }
 
 // TestParseCacheConcurrent hammers one cached parser from many
-// goroutines (run under -race) mixing repeats and dictionary teaching.
+// goroutines (run under -race) mixing repeats, undefined words and
+// dictionary teaching, including resets of the shared unknown-word
+// expansion.
 func TestParseCacheConcurrent(t *testing.T) {
 	p := cachedParser(t, 32)
 	var wg sync.WaitGroup
@@ -137,9 +139,18 @@ func TestParseCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				s := fmt.Sprintf("the student learns the lesson %d", i%5)
+				if i%3 == 0 {
+					s = fmt.Sprintf("the zq%dx%d student learns the lesson", w, i)
+				}
 				if _, err := p.Parse(s); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
+				}
+				if i%17 == 0 {
+					if err := p.Dictionary().SetUnknownWordMacro("unknown-word"); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
 				}
 				if i%13 == 0 {
 					word := fmt.Sprintf("zworddef%d%d", w, i)

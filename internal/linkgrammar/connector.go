@@ -82,7 +82,19 @@ func Match(r, l Connector) bool {
 	if ru != lu || r.Name[:ru] != l.Name[:lu] {
 		return false
 	}
-	rs, ls := r.Name[ru:], l.Name[lu:]
+	return subscriptsMatch(r.Name[ru:], l.Name[lu:])
+}
+
+// matchNodes is Match over interned cells, whose type and subscript were
+// split once at intern time: types compare as interned IDs.
+func matchNodes(r, l *connNode) bool {
+	return r.conn.Dir == DirRight && l.conn.Dir == DirLeft &&
+		r.typ == l.typ && subscriptsMatch(r.sub, l.sub)
+}
+
+// subscriptsMatch compares two subscripts position by position: '*'
+// matches any character and a missing character matches anything.
+func subscriptsMatch(rs, ls string) bool {
 	n := len(rs)
 	if len(ls) < n {
 		n = len(ls)

@@ -1,6 +1,7 @@
 package linkgrammar
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -26,14 +27,20 @@ type Dictionary struct {
 	entries map[string]*Expr // word -> formula
 	macros  map[string]*Expr // macro name -> formula
 
-	// disjuncts caches the expanded, interned disjunct list per word.
-	disjuncts map[string][]*Disjunct
-	interner  *connInterner
+	// words caches the expansion of each defined word that has been
+	// looked up. Undefined words share numberWord and unknownWord
+	// instead, so a stream of distinct typos does not grow the cache.
+	words       map[string]*wordEntry
+	numberWord  *wordEntry
+	unknownWord *wordEntry
+	interner    *connInterner
+	// slot is groupHeads' scratch for building word entries.
+	slot []int32
 
-	// unknownWord, when non-empty, names the macro whose formula is
+	// unknownMacro, when non-empty, names the macro whose formula is
 	// assigned to words missing from the dictionary (the paper's system
 	// must keep working when learners type unknown words).
-	unknownWord string
+	unknownMacro string
 
 	// gen counts definition changes; parse caches compare it to flush
 	// entries parsed under an older vocabulary.
@@ -43,10 +50,10 @@ type Dictionary struct {
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
 	return &Dictionary{
-		entries:   make(map[string]*Expr),
-		macros:    make(map[string]*Expr),
-		disjuncts: make(map[string][]*Disjunct),
-		interner:  newConnInterner(),
+		entries:  make(map[string]*Expr),
+		macros:   make(map[string]*Expr),
+		words:    make(map[string]*wordEntry),
+		interner: newConnInterner(),
 	}
 }
 
@@ -57,6 +64,9 @@ func (d *Dictionary) LoadString(src string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.gen++
+	// A statement may redefine the macros the shared expansions of
+	// undefined words were built from.
+	d.numberWord, d.unknownWord = nil, nil
 	stripped := stripComments(src)
 	statements := splitStatements(stripped)
 	for i, stmt := range statements {
@@ -84,7 +94,7 @@ func (d *Dictionary) LoadString(src string) error {
 			}
 			word := normalizeWord(head)
 			d.entries[word] = mergeOr(d.entries[word], formula)
-			delete(d.disjuncts, word)
+			delete(d.words, word)
 		}
 	}
 	return nil
@@ -100,7 +110,8 @@ func (d *Dictionary) SetUnknownWordMacro(name string) error {
 			return fmt.Errorf("unknown-word macro <%s> is not defined", name)
 		}
 	}
-	d.unknownWord = name
+	d.unknownMacro = name
+	d.unknownWord = nil
 	d.gen++
 	return nil
 }
@@ -127,7 +138,7 @@ func (d *Dictionary) Define(word, formulaSrc string) error {
 	d.gen++
 	word = normalizeWord(word)
 	d.entries[word] = mergeOr(d.entries[word], formula)
-	delete(d.disjuncts, word)
+	delete(d.words, word)
 	return nil
 }
 
@@ -158,36 +169,128 @@ func (d *Dictionary) Words() []string {
 	return out
 }
 
+// wordEntry is one word's expansion: its disjuncts in parse order and
+// the same disjuncts grouped by head cell.
+type wordEntry struct {
+	ds    []*Disjunct
+	heads headIndex
+}
+
 // Disjuncts returns the expanded disjunct list for a word. Unknown words
 // receive the unknown-word macro's disjuncts when configured, otherwise
 // nil, which the parser reports as an unknown word.
 func (d *Dictionary) Disjuncts(word string) ([]*Disjunct, error) {
 	word = normalizeWord(word)
 	d.mu.RLock()
-	if ds, ok := d.disjuncts[word]; ok {
-		d.mu.RUnlock()
-		return ds, nil
-	}
+	e, ok := d.cachedLocked(word)
 	d.mu.RUnlock()
+	if !ok {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		var err error
+		if e, err = d.entryLocked(word); err != nil {
+			return nil, err
+		}
+	}
+	if e == nil {
+		return nil, nil
+	}
+	return e.ds, nil
+}
 
+// dictView is what one parse reads from the dictionary besides the
+// word entries, taken in the same critical section so that the table
+// sizes cover every id the entries hold.
+type dictView struct {
+	// cells and conns are the interner's per-direction cell and
+	// connector counts (index Dir-1): cell ids run from 1 to cells,
+	// connector ids from 0 to conns-1.
+	cells, conns [2]int32
+}
+
+// view resolves every word of a sentence under one read lock: ents[i]
+// receives words[i]'s entry (nil when it has no disjuncts), and unknown
+// lists, as token indices, the words with no dictionary entry (words[0]
+// is the wall and never reported). Only when some expansion is not
+// cached yet does it retake the write lock to build.
+func (d *Dictionary) view(words []string, ents []*wordEntry) (v dictView, unknown []int, err error) {
+	d.mu.RLock()
+	v, unknown, err = d.viewLocked(words, ents, false)
+	d.mu.RUnlock()
+	if err != errNotCached {
+		return v, unknown, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if ds, ok := d.disjuncts[word]; ok {
-		return ds, nil
+	return d.viewLocked(words, ents, true)
+}
+
+// errNotCached stops a read-locked view at the first word whose
+// expansion must be built.
+var errNotCached = errors.New("linkgrammar: expansion not cached")
+
+func (d *Dictionary) viewLocked(words []string, ents []*wordEntry, build bool) (dictView, []int, error) {
+	var unknown []int
+	for i, w := range words {
+		w = normalizeWord(w)
+		e, ok := d.cachedLocked(w)
+		if !ok {
+			if !build {
+				return dictView{}, nil, errNotCached
+			}
+			var err error
+			if e, err = d.entryLocked(w); err != nil {
+				return dictView{}, nil, err
+			}
+		}
+		ents[i] = e
+		if _, defined := d.entries[w]; !defined && i > 0 {
+			unknown = append(unknown, i-1)
+		}
 	}
-	formula, ok := d.entries[word]
-	if !ok {
-		if isNumeric(word) {
-			if numFormula, hasNum := d.macros["number"]; hasNum {
-				formula = numFormula
-			}
-		}
-		if formula == nil {
-			if d.unknownWord == "" {
-				return nil, nil
-			}
-			formula = d.macros[d.unknownWord]
-		}
+	in := d.interner
+	return dictView{cells: in.nCells, conns: in.nConns}, unknown, nil
+}
+
+// cachedLocked returns a normalized word's entry; ok is false when the
+// entry must first be built under the write lock.
+func (d *Dictionary) cachedLocked(word string) (e *wordEntry, ok bool) {
+	if _, defined := d.entries[word]; defined {
+		e, ok = d.words[word]
+		return e, ok
+	}
+	slot, _ := d.sharedLocked(word)
+	if slot == nil {
+		return nil, true
+	}
+	return *slot, *slot != nil
+}
+
+// sharedLocked returns the slot holding the expansion an undefined word
+// shares and the macro it is built from, or a nil slot when the word
+// has no expansion at all.
+func (d *Dictionary) sharedLocked(word string) (**wordEntry, string) {
+	if _, ok := d.macros["number"]; ok && isNumeric(word) {
+		return &d.numberWord, "number"
+	}
+	if d.unknownMacro == "" {
+		return nil, ""
+	}
+	return &d.unknownWord, d.unknownMacro
+}
+
+// entryLocked returns a normalized word's entry, expanding and caching
+// it on first use. The write lock must be held.
+func (d *Dictionary) entryLocked(word string) (*wordEntry, error) {
+	if e, ok := d.cachedLocked(word); ok {
+		return e, nil
+	}
+	formula, defined := d.entries[word]
+	var slot **wordEntry
+	if !defined {
+		var macro string
+		slot, macro = d.sharedLocked(word)
+		formula = d.macros[macro]
 	}
 	ds, err := buildDisjuncts(formula, d.resolveMacro)
 	if err != nil {
@@ -196,8 +299,16 @@ func (d *Dictionary) Disjuncts(word string) ([]*Disjunct, error) {
 	for _, dj := range ds {
 		dj.finalize(d.interner)
 	}
-	d.disjuncts[word] = ds
-	return ds, nil
+	e := &wordEntry{ds: ds}
+	in := d.interner
+	d.slot = resize(d.slot, int(max(in.nCells[0], in.nCells[1]))+1)
+	groupHeads(&e.heads, ds, d.slot)
+	if slot != nil {
+		*slot = e
+	} else {
+		d.words[word] = e
+	}
+	return e, nil
 }
 
 func (d *Dictionary) resolveMacro(name string) (*Expr, error) {

@@ -1,6 +1,7 @@
 package linkgrammar
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -168,5 +169,65 @@ func TestWordsAndLen(t *testing.T) {
 	}
 	if !d.Has("ZEBRA") {
 		t.Error("Has must be case-insensitive")
+	}
+}
+
+// TestUndefinedWordsShareExpansions pins the bound on the per-word
+// cache: undefined words reuse one expansion of the unknown-word macro
+// (numbers one of the number macro) instead of each caching a copy,
+// and redefinitions still reach them.
+func TestUndefinedWordsShareExpansions(t *testing.T) {
+	d, err := NewEnglishDictionary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewParser(d, DefaultOptions())
+	if _, err := p.Parse("the zqwarm is a stack of 12"); err != nil {
+		t.Fatal(err)
+	}
+	cached, cells := len(d.words), d.interner.nCells
+	for i := 0; i < 500; i++ {
+		if _, err := p.Parse(fmt.Sprintf("the zq%dwarm is a stack of %d", i, 1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.words) != cached || d.interner.nCells != cells {
+		t.Fatalf("500 distinct undefined words grew the cache from %d to %d words, %v to %v cells",
+			cached, len(d.words), cells, d.interner.nCells)
+	}
+	same := func(a, b string) bool {
+		t.Helper()
+		da, err := d.Disjuncts(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := d.Disjuncts(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(da) > 0 && len(db) > 0 && &da[0] == &db[0]
+	}
+	if !same("zqone", "zqtwo") || !same("17", "4242") || same("zqone", "17") {
+		t.Fatal("undefined words must share the unknown-word expansion, numbers the number expansion")
+	}
+
+	if err := d.Define("zqone", "O-"); err != nil {
+		t.Fatal(err)
+	}
+	if ds, _ := d.Disjuncts("zqone"); len(ds) != 1 || same("zqone", "zqtwo") {
+		t.Fatalf("Define of an undefined word did not take effect: %v", ds)
+	}
+	before, _ := d.Disjuncts("zqtwo")
+	if err := d.LoadString("<unknown-word>: ZZ-;"); err != nil {
+		t.Fatal(err)
+	}
+	if ds, _ := d.Disjuncts("zqtwo"); len(ds) != len(before)+1 {
+		t.Fatalf("LoadString of the unknown-word macro not seen: %d disjuncts, was %d", len(ds), len(before))
+	}
+	if err := d.SetUnknownWordMacro(""); err != nil {
+		t.Fatal(err)
+	}
+	if ds, _ := d.Disjuncts("zqtwo"); ds != nil {
+		t.Fatalf("disabled fallback still expands undefined words: %v", ds)
 	}
 }

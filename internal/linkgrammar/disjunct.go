@@ -2,6 +2,7 @@ package linkgrammar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,18 +50,35 @@ func (d *Disjunct) String() string {
 	return b.String()
 }
 
-// connNode is one cell of a persistent connector list. Node identity
-// (pointer) keys the parser's memoization table, so lists must be
-// interned: equal suffixes share cells.
+// connNode is one cell of a persistent connector list. Lists are
+// interned, so equal suffixes share cells and a cell stands for the
+// whole list from it to the end: the parser keys its memoization table
+// on cell IDs. Each cell also carries its connector compiled for
+// matching, split once here instead of on every Match.
 type connNode struct {
 	conn Connector
 	next *connNode
+
+	// id numbers the cells of one direction densely from 1; 0 stands
+	// for the empty list in the parser's memo keys.
+	id int32
+	// cid numbers the distinct connectors of one direction densely from
+	// 0; the parser's per-parse match table is indexed by it.
+	cid int32
+	// typ is the interned upper-case type and sub the subscript after it.
+	typ int32
+	sub string
 }
 
 // connInterner dedupes connector-list cells so that structurally equal
 // lists are pointer-equal, keeping the parser memo table small.
 type connInterner struct {
 	cells map[internKey]*connNode
+	conns map[Connector]int32
+	types map[string]int32
+	// nCells and nConns count cells and distinct connectors per
+	// direction (index Dir-1); the parser sizes its tables from them.
+	nCells, nConns [2]int32
 }
 
 type internKey struct {
@@ -69,7 +87,11 @@ type internKey struct {
 }
 
 func newConnInterner() *connInterner {
-	return &connInterner{cells: make(map[internKey]*connNode)}
+	return &connInterner{
+		cells: make(map[internKey]*connNode),
+		conns: make(map[Connector]int32),
+		types: make(map[string]int32),
+	}
 }
 
 // list interns the far-to-near linked list for connectors given in
@@ -79,15 +101,93 @@ func (in *connInterner) list(nearToFar []Connector) *connNode {
 	// Build from the nearest connector outward so that the head of the
 	// resulting list is the farthest connector.
 	for _, c := range nearToFar {
-		key := internKey{conn: c, next: head}
-		cell, ok := in.cells[key]
-		if !ok {
-			cell = &connNode{conn: c, next: head}
-			in.cells[key] = cell
-		}
-		head = cell
+		head = in.cell(c, head)
 	}
 	return head
+}
+
+// cell interns one cell, numbering and compiling it on first sight.
+func (in *connInterner) cell(c Connector, next *connNode) *connNode {
+	key := internKey{conn: c, next: next}
+	if cell, ok := in.cells[key]; ok {
+		return cell
+	}
+	dir := c.Dir - 1
+	cid, ok := in.conns[c]
+	if !ok {
+		cid = in.nConns[dir]
+		in.nConns[dir]++
+		in.conns[c] = cid
+	}
+	u := upperLen(c.Name)
+	typ, ok := in.types[c.Name[:u]]
+	if !ok {
+		typ = int32(len(in.types))
+		in.types[c.Name[:u]] = typ
+	}
+	in.nCells[dir]++
+	cell := &connNode{conn: c, next: next, id: in.nCells[dir], cid: cid, typ: typ, sub: c.Name[u:]}
+	in.cells[key] = cell
+	return cell
+}
+
+// headGroup is a run of one word's disjuncts whose connector lists on
+// one side are the same interned list, head. The members' lists on the
+// other side are rest[lo:hi] of the word's headIndex. The parser
+// matches head once for the whole group instead of once per disjunct.
+type headGroup struct {
+	head   *connNode
+	lo, hi int32
+}
+
+// headIndex groups a word's disjuncts by the head cell of their left
+// lists and, separately, of their right lists. Disjuncts with an empty
+// list on a side are in no group of that side: they cannot link there.
+type headIndex struct {
+	left, right []headGroup
+	rest        []*connNode
+}
+
+// groupHeads regroups ds into idx, reusing idx's storage. slot maps a
+// head cell's id to its group's position + 1 and must be zeroed and
+// longer than every id in ds; groupHeads leaves it zeroed.
+func groupHeads(idx *headIndex, ds []*Disjunct, slot []int32) {
+	// Each disjunct is a member of at most one group a side.
+	idx.rest = slices.Grow(idx.rest[:0], 2*len(ds))
+	idx.left = idx.appendGroups(idx.left[:0], ds, slot, func(d *Disjunct) (*connNode, *connNode) { return d.leftList, d.rightList })
+	idx.right = idx.appendGroups(idx.right[:0], ds, slot, func(d *Disjunct) (*connNode, *connNode) { return d.rightList, d.leftList })
+}
+
+func (idx *headIndex) appendGroups(gs []headGroup, ds []*Disjunct, slot []int32, side func(*Disjunct) (head, rest *connNode)) []headGroup {
+	// Number the groups in order of first appearance, counting members
+	// in hi; then turn the counts into ranges of rest and fill them.
+	for _, d := range ds {
+		if head, _ := side(d); head != nil {
+			if slot[head.id] == 0 {
+				gs = append(gs, headGroup{head: head})
+				slot[head.id] = int32(len(gs))
+			}
+			gs[slot[head.id]-1].hi++
+		}
+	}
+	off := int32(len(idx.rest))
+	for i := range gs {
+		n := gs[i].hi
+		gs[i].lo, gs[i].hi = off, off
+		off += n
+	}
+	idx.rest = slices.Grow(idx.rest, int(off)-len(idx.rest))[:off]
+	for _, d := range ds {
+		if head, rest := side(d); head != nil {
+			g := &gs[slot[head.id]-1]
+			idx.rest[g.hi] = rest
+			g.hi++
+		}
+	}
+	for _, g := range gs {
+		slot[g.head.id] = 0
+	}
+	return gs
 }
 
 // maxDisjunctsPerWord caps expression expansion so that a pathological

@@ -17,6 +17,8 @@ type Options struct {
 	// MaxLinkages caps the number of alternative linkages returned.
 	MaxLinkages int
 	// MaxTokens rejects absurdly long inputs before the O(n³) parse.
+	// Values above 254, the most the parser's memo keys can index, are
+	// lowered to 254.
 	MaxTokens int
 	// DisablePruning turns off the pre-parse disjunct pruning pass
 	// (kept only for the pruning ablation benchmark).
@@ -57,8 +59,9 @@ type Parser struct {
 
 // parseScratch is the pooled working state of one ParseTokens call.
 type parseScratch struct {
-	key []byte
-	st  parseState
+	key  []byte
+	ents []*wordEntry
+	st   parseState
 }
 
 // NewParser returns a parser over dict with the given options. Zero
@@ -70,6 +73,9 @@ func NewParser(dict *Dictionary, opts Options) *Parser {
 	}
 	if opts.MaxTokens <= 0 {
 		opts.MaxTokens = def.MaxTokens
+	}
+	if opts.MaxTokens > maxTokensLimit {
+		opts.MaxTokens = maxTokensLimit
 	}
 	switch {
 	case opts.MaxNulls == 0:
@@ -85,19 +91,21 @@ func NewParser(dict *Dictionary, opts Options) *Parser {
 	return p
 }
 
-// releaseScratch clears the references pooled scratch holds (dictionary
-// disjuncts, interned connector nodes) and returns it to the pool,
-// folding the observed memo size into the sizing hint for fresh maps.
+// releaseScratch clears the references pooled scratch holds to the
+// sentence's dictionary entries and returns it to the pool, folding the
+// observed memo size into the sizing hint for fresh maps. The regrouped
+// head lists in st.own keep their connector cells, which live as long
+// as the dictionary anyway, so their storage is reused as is.
 func (p *Parser) releaseScratch(sc *parseScratch) {
 	if sc.st.counts != nil {
 		hint := p.countHint.Load()
 		p.countHint.Store((3*hint + int64(len(sc.st.counts))) / 4)
 		clear(sc.st.counts)
 	}
-	for i := range sc.st.disjuncts {
-		sc.st.disjuncts[i] = nil
-	}
-	sc.st.dict, sc.st.words = nil, nil
+	clear(sc.ents)
+	clear(sc.st.disjuncts)
+	clear(sc.st.heads)
+	sc.st.words = nil
 	p.scratch.Put(sc)
 }
 
@@ -173,29 +181,20 @@ func (p *Parser) ParseTokens(tokens []string) (*Result, error) {
 	copy(words[1:], tokens)
 
 	res := &Result{Tokens: words[1:]}
-	if cap(sc.st.disjuncts) < len(words) {
-		sc.st.disjuncts = make([][]*Disjunct, len(words))
+	sc.ents = resize(sc.ents, len(words))
+	view, unknown, err := p.dict.view(words, sc.ents)
+	if err != nil {
+		return nil, err
 	}
+	if max(view.cells[0], view.cells[1]) >= 1<<keyCellBits {
+		return nil, fmt.Errorf("dictionary has more than %d connector cells per direction", 1<<keyCellBits-1)
+	}
+	res.UnknownWords = unknown
 	if sc.st.counts == nil {
-		sc.st.counts = make(map[countKey]int64, p.countHint.Load())
+		sc.st.counts = make(map[uint64]int64, p.countHint.Load())
 	}
-	sc.st.dict = p.dict
-	sc.st.words = words
-	sc.st.disjuncts = sc.st.disjuncts[:len(words)]
 	st := &sc.st
-	for i, w := range words {
-		ds, err := p.dict.Disjuncts(w)
-		if err != nil {
-			return nil, err
-		}
-		if !p.dict.Has(w) && i > 0 {
-			res.UnknownWords = append(res.UnknownWords, i-1)
-		}
-		st.disjuncts[i] = ds
-	}
-	if !p.opts.DisablePruning {
-		st.disjuncts = pruneDisjuncts(st.disjuncts)
-	}
+	st.load(words, sc.ents, view, !p.opts.DisablePruning)
 
 	maxNulls := p.opts.MaxNulls
 	if maxNulls > len(tokens)-1 {
@@ -232,16 +231,115 @@ func (p *Parser) ParseTokens(tokens []string) (*Result, error) {
 // Internally word 0 is LEFT-WALL and a virtual word len(words) with no
 // connectors closes the region on the right.
 type parseState struct {
-	dict      *Dictionary
-	words     []string
+	words []string
+	// disjuncts[w] lists word w's disjuncts in the order extract
+	// enumerates linkages; heads[w] groups the same disjuncts by head
+	// cell for count.
 	disjuncts [][]*Disjunct
-	counts    map[countKey]int64
+	heads     []headIndex
+	counts    map[uint64]int64
+
+	// matches is a lazily filled table over (right connector id, left
+	// connector id) pairs, two bits a pair: 0 not yet compared,
+	// matchNo or matchYes. nLeft is the row stride.
+	nLeft   uint
+	matches []uint64
+
+	// own and slot are the storage for regrouping pruned lists.
+	own  []headIndex
+	slot []int32
 }
 
-type countKey struct {
-	a, b   int16
-	la, lb *connNode
-	nulls  int8
+// load points the state at one sentence's dictionary entries, prunes
+// long sentences (regrouping the words whose lists shrank) and sizes
+// the match table from the view's connector counts.
+func (st *parseState) load(words []string, ents []*wordEntry, v dictView, prune bool) {
+	n := len(words)
+	st.words = words
+	st.disjuncts = resize(st.disjuncts, n)
+	st.heads = resize(st.heads, n)
+	for i, e := range ents {
+		st.disjuncts[i], st.heads[i] = nil, headIndex{}
+		if e != nil {
+			st.disjuncts[i], st.heads[i] = e.ds, e.heads
+		}
+	}
+	if prune {
+		pruned := pruneDisjuncts(st.disjuncts)
+		st.own = resize(st.own, n)
+		st.slot = resize(st.slot, int(max(v.cells[0], v.cells[1]))+1)
+		for i := range pruned {
+			if len(pruned[i]) != len(st.disjuncts[i]) {
+				groupHeads(&st.own[i], pruned[i], st.slot)
+				st.heads[i] = st.own[i]
+			}
+		}
+		st.disjuncts = pruned
+	}
+
+	st.nLeft = uint(v.conns[DirLeft-1])
+	st.matches = resize(st.matches, int((uint(v.conns[DirRight-1])*st.nLeft+31)/32))
+	clear(st.matches)
+}
+
+// resize returns s with length n, reusing its storage when large
+// enough. Callers overwrite or clear the elements.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// match is Match for a right-list cell r and a left-list cell l, looked
+// up in the per-parse table.
+func (st *parseState) match(r, l *connNode) bool {
+	i := uint(r.cid)*st.nLeft + uint(l.cid)
+	if v := st.matches[i/32] >> (i % 32 * 2) & 3; v != 0 {
+		return v == matchYes
+	}
+	return st.fillMatch(i, r, l)
+}
+
+const (
+	matchNo  = 1
+	matchYes = 3
+)
+
+func (st *parseState) fillMatch(i uint, r, l *connNode) bool {
+	v := uint64(matchNo)
+	if matchNodes(r, l) {
+		v = matchYes
+	}
+	st.matches[i/32] |= v << (i % 32 * 2)
+	return v == matchYes
+}
+
+// Memo keys pack (a, b, nulls, la, lb) into one uint64: three word
+// fields of keyWordBits and two cell-id fields of keyCellBits (ids of
+// the right- and left-going cells are numbered separately, and 0 is
+// the empty list). maxTokensLimit keeps every word index, the virtual
+// right end included, and every null count inside a word field;
+// ParseTokens refuses a dictionary whose ids outgrow a cell field.
+const (
+	keyWordBits = 8
+	keyCellBits = 20
+
+	// maxTokensLimit (254) is the largest Options.MaxTokens a Parser
+	// honours: LEFT-WALL plus that many tokens is 255 words.
+	maxTokensLimit = 1<<keyWordBits - 2
+)
+
+func memoKey(a, b, nulls int, la, lb *connNode) uint64 {
+	return uint64(a) | uint64(b)<<keyWordBits | uint64(nulls)<<(2*keyWordBits) |
+		cellID(la)<<(3*keyWordBits) | cellID(lb)<<(3*keyWordBits+keyCellBits)
+}
+
+func cellID(c *connNode) uint64 {
+	if c == nil {
+		return 0
+	}
+	return uint64(c.id)
 }
 
 const countCap = int64(1) << 40
@@ -308,53 +406,67 @@ func (st *parseState) count(a, b int, la, lb *connNode, nulls int) int64 {
 	if nulls > inner {
 		return 0
 	}
-	key := countKey{a: int16(a), b: int16(b), la: la, lb: lb, nulls: int8(nulls)}
+	key := memoKey(a, b, nulls, la, lb)
 	if v, ok := st.counts[key]; ok {
 		return v
 	}
 	st.counts[key] = 0 // cycle guard; real value set below
 
+	// Disjuncts of one head group share their list on the linking side,
+	// so the region between the link's ends counts once per group and
+	// multiplies the sum over the members' other lists. Saturating sums
+	// and products equal min(countCap, exact value) in any order, so
+	// the total is the same as summing disjunct by disjunct.
 	var total int64
 	if la != nil {
 		for w := a + 1; w < b; w++ {
-			for _, d := range st.disjuncts[w] {
-				dl := d.leftList
-				if dl == nil || !Match(la.conn, dl.conn) {
+			h := &st.heads[w]
+			for _, g := range h.left {
+				if !st.match(la, g.head) {
 					continue
 				}
-				for _, v := range matchVariants(la, dl) {
+				vs, nv := matchVariants(la, g.head)
+				for _, v := range vs[:nv] {
 					for k1 := 0; k1 <= nulls; k1++ {
 						left := st.count(a, w, v.x, v.y, k1)
 						if left == 0 {
 							continue
 						}
-						right := st.count(w, b, d.rightList, lb, nulls-k1)
+						var right int64
+						for _, dr := range h.rest[g.lo:g.hi] {
+							right = satAdd(right, st.count(w, b, dr, lb, nulls-k1))
+						}
 						total = satAdd(total, satMul(left, right))
 					}
 				}
 			}
 		}
-		if lb != nil && Match(la.conn, lb.conn) {
+		if lb != nil && st.match(la, lb) {
 			// Direct link a–b: both heads are the farthest connectors of
 			// their words within this region.
-			for _, v := range matchVariants(la, lb) {
+			vs, nv := matchVariants(la, lb)
+			for _, v := range vs[:nv] {
 				total = satAdd(total, st.count(a, b, v.x, v.y, nulls))
 			}
 		}
 	} else { // la == nil, lb != nil
 		for w := a + 1; w < b; w++ {
-			for _, d := range st.disjuncts[w] {
-				dr := d.rightList
-				if dr == nil || !Match(dr.conn, lb.conn) {
+			h := &st.heads[w]
+			for _, g := range h.right {
+				if !st.match(g.head, lb) {
 					continue
 				}
-				for _, v := range matchVariants(dr, lb) {
+				vs, nv := matchVariants(g.head, lb)
+				for _, v := range vs[:nv] {
 					for k1 := 0; k1 <= nulls; k1++ {
-						left := st.count(a, w, nil, d.leftList, k1)
-						if left == 0 {
+						right := st.count(w, b, v.x, v.y, nulls-k1)
+						if right == 0 {
 							continue
 						}
-						right := st.count(w, b, v.x, v.y, nulls-k1)
+						var left int64
+						for _, dl := range h.rest[g.lo:g.hi] {
+							left = satAdd(left, st.count(a, w, nil, dl, k1))
+						}
 						total = satAdd(total, satMul(left, right))
 					}
 				}
@@ -369,19 +481,23 @@ func (st *parseState) count(a, b int, la, lb *connNode, nulls int) int64 {
 // multi-connectors may stay in their list for further links.
 type matchVariant struct{ x, y *connNode }
 
-func matchVariants(x, y *connNode) []matchVariant {
-	vs := make([]matchVariant, 0, 4)
-	vs = append(vs, matchVariant{x.next, y.next})
+// matchVariants returns the variants in vs[:n], in a fixed order.
+func matchVariants(x, y *connNode) (vs [4]matchVariant, n int) {
+	vs[0] = matchVariant{x.next, y.next}
+	n = 1
 	if x.conn.Multi {
-		vs = append(vs, matchVariant{x, y.next})
+		vs[n] = matchVariant{x, y.next}
+		n++
 	}
 	if y.conn.Multi {
-		vs = append(vs, matchVariant{x.next, y})
+		vs[n] = matchVariant{x.next, y}
+		n++
 	}
 	if x.conn.Multi && y.conn.Multi {
-		vs = append(vs, matchVariant{x, y})
+		vs[n] = matchVariant{x, y}
+		n++
 	}
-	return vs
+	return vs, n
 }
 
 // partial is an intermediate extraction result for a region.
@@ -408,13 +524,6 @@ func crossPartials(ls, rs []partial, budget int) []partial {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // extractTotal enumerates up to `budget` full-sentence linkages with
@@ -481,9 +590,14 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 	}
 
 	var out []partial
-	emit := func(link Link, ls, rs []partial) {
+	emit := func(link *Link, ls, rs []partial) {
+		if link.Label == "" {
+			// Labelled on first use: most matching disjuncts yield no
+			// linkage inside the region.
+			link.Label = LinkLabel(link.LConn, link.RConn)
+		}
 		for _, p := range crossPartials(ls, rs, budget-len(out)) {
-			p.links = append(p.links, link)
+			p.links = append(p.links, *link)
 			out = append(out, p)
 			if len(out) >= budget {
 				return
@@ -495,15 +609,12 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 		for w := a + 1; w < b && len(out) < budget; w++ {
 			for _, d := range st.disjuncts[w] {
 				dl := d.leftList
-				if dl == nil || !Match(la.conn, dl.conn) {
+				if dl == nil || !st.match(la, dl) {
 					continue
 				}
-				link := Link{
-					Left: a, Right: w,
-					Label: LinkLabel(la.conn, dl.conn),
-					LConn: la.conn, RConn: dl.conn,
-				}
-				for _, v := range matchVariants(la, dl) {
+				link := Link{Left: a, Right: w, LConn: la.conn, RConn: dl.conn}
+				vs, nv := matchVariants(la, dl)
+				for _, v := range vs[:nv] {
 					for k1 := 0; k1 <= nulls && len(out) < budget; k1++ {
 						if st.count(a, w, v.x, v.y, k1) == 0 ||
 							st.count(w, b, d.rightList, lb, nulls-k1) == 0 {
@@ -511,23 +622,24 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 						}
 						ls := st.extract(a, w, v.x, v.y, k1, budget-len(out))
 						rs := st.extract(w, b, d.rightList, lb, nulls-k1, budget-len(out))
-						withCost := make([]partial, len(rs))
-						for i, r := range rs {
-							r.cost += d.Cost
-							withCost[i] = r
+						// extract returns fresh partials, so the disjunct's
+						// cost is added in place.
+						for i := range rs {
+							rs[i].cost += d.Cost
 						}
-						emit(link, ls, withCost)
+						emit(&link, ls, rs)
 					}
 				}
 			}
 		}
-		if lb != nil && Match(la.conn, lb.conn) && len(out) < budget {
+		if lb != nil && st.match(la, lb) && len(out) < budget {
 			link := Link{
 				Left: a, Right: b,
 				Label: LinkLabel(la.conn, lb.conn),
 				LConn: la.conn, RConn: lb.conn,
 			}
-			for _, v := range matchVariants(la, lb) {
+			vs, nv := matchVariants(la, lb)
+			for _, v := range vs[:nv] {
 				if st.count(a, b, v.x, v.y, nulls) == 0 {
 					continue
 				}
@@ -544,15 +656,12 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 		for w := a + 1; w < b && len(out) < budget; w++ {
 			for _, d := range st.disjuncts[w] {
 				dr := d.rightList
-				if dr == nil || !Match(dr.conn, lb.conn) {
+				if dr == nil || !st.match(dr, lb) {
 					continue
 				}
-				link := Link{
-					Left: w, Right: b,
-					Label: LinkLabel(dr.conn, lb.conn),
-					LConn: dr.conn, RConn: lb.conn,
-				}
-				for _, v := range matchVariants(dr, lb) {
+				link := Link{Left: w, Right: b, LConn: dr.conn, RConn: lb.conn}
+				vs, nv := matchVariants(dr, lb)
+				for _, v := range vs[:nv] {
 					for k1 := 0; k1 <= nulls && len(out) < budget; k1++ {
 						if st.count(a, w, nil, d.leftList, k1) == 0 ||
 							st.count(w, b, v.x, v.y, nulls-k1) == 0 {
@@ -560,12 +669,10 @@ func (st *parseState) extract(a, b int, la, lb *connNode, nulls, budget int) []p
 						}
 						ls := st.extract(a, w, nil, d.leftList, k1, budget-len(out))
 						rs := st.extract(w, b, v.x, v.y, nulls-k1, budget-len(out))
-						withCost := make([]partial, len(ls))
-						for i, l := range ls {
-							l.cost += d.Cost
-							withCost[i] = l
+						for i := range ls {
+							ls[i].cost += d.Cost
 						}
-						emit(link, withCost, rs)
+						emit(&link, ls, rs)
 					}
 				}
 			}

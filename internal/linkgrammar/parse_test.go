@@ -212,3 +212,49 @@ func TestDirectionsMustOppose(t *testing.T) {
 		t.Error("two right-pointing connectors must not match")
 	}
 }
+
+// TestMemoKeyLayout checks that the packed memo key is collision-free:
+// the extremes of every field a parse can produce decode back intact,
+// and NewParser lowers MaxTokens to the limit the layout was sized for.
+func TestMemoKeyLayout(t *testing.T) {
+	const wordMask, cellMask = 1<<keyWordBits - 1, 1<<keyCellBits - 1
+	maxWord := maxTokensLimit + 1 // LEFT-WALL plus maxTokensLimit tokens
+	cell := func(id int) *connNode {
+		if id == 0 {
+			return nil
+		}
+		return &connNode{id: int32(id)}
+	}
+	for _, a := range []int{0, 1, maxWord - 1} {
+		for _, b := range []int{a + 1, maxWord} {
+			for _, nulls := range []int{0, 1, maxTokensLimit - 1} {
+				for _, la := range []int{0, 1, cellMask} {
+					for _, lb := range []int{0, 1, cellMask} {
+						k := memoKey(a, b, nulls, cell(la), cell(lb))
+						got := [5]int{int(k & wordMask), int(k >> keyWordBits & wordMask), int(k >> (2 * keyWordBits) & wordMask),
+							int(k >> (3 * keyWordBits) & cellMask), int(k >> (3*keyWordBits + keyCellBits))}
+						if want := [5]int{a, b, nulls, la, lb}; got != want {
+							t.Fatalf("memoKey%v decodes to %v", want, got)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	d, err := NewEnglishDictionary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewParser(d, Options{MaxTokens: 10 * maxTokensLimit})
+	if p.opts.MaxTokens != maxTokensLimit {
+		t.Fatalf("MaxTokens = %d, want it lowered to %d", p.opts.MaxTokens, maxTokensLimit)
+	}
+	long := strings.Fields(strings.Repeat("the stack ", maxTokensLimit/2))
+	if _, err := p.ParseTokens(long); err != nil {
+		t.Fatalf("%d tokens: %v", len(long), err)
+	}
+	if _, err := p.ParseTokens(append(long, "stack")); err == nil {
+		t.Fatalf("%d tokens accepted past the key layout's limit", len(long)+1)
+	}
+}
