@@ -298,7 +298,7 @@ func BenchmarkE9ShardedSupervision(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if arm.sharded {
-					pipe := pipeline.New(pipeline.Config{Block: true})
+					pipe := pipeline.New(pipeline.Config{})
 					for _, m := range msgs {
 						m := m
 						if err := pipe.Submit(m.Room, func() {
@@ -500,7 +500,7 @@ func BenchmarkE11JournaledSupervision(b *testing.B) {
 			errCh := make(chan error, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pipe := pipeline.New(pipeline.Config{Block: true})
+				pipe := pipeline.New(pipeline.Config{})
 				for _, m := range msgs {
 					m := m
 					if err := pipe.Submit(m.Room, func() {
@@ -581,12 +581,9 @@ func BenchmarkE16ClusterFailover(b *testing.B) {
 }
 
 // BenchmarkE10SnapshotReadPath measures the knowledge-layer read path
-// (experiment E10): the legacy locked ontology (RWMutex + map-allocating
-// Dijkstra per query) against the immutable compiled snapshot
-// (lock-free, table-lookup Related) at 1, 4 and 16 workers. The
-// acceptance bar is snapshot ≥ locked at every width and strictly
-// faster at 16 workers; run with -benchmem to see the snapshot arm's
-// zero allocations per query.
+// (experiment E10): the immutable compiled snapshot (lock-free,
+// table-lookup Related) at 1, 4 and 16 workers. Run with -benchmem to
+// see its zero allocations per query.
 func BenchmarkE10SnapshotReadPath(b *testing.B) {
 	onto := ontology.BuildCourseOntology()
 	items := onto.Items()
@@ -597,34 +594,23 @@ func BenchmarkE10SnapshotReadPath(b *testing.B) {
 		}
 	}
 	snap := onto.Snapshot()
-	locked := onto.LockedReadPath()
-
-	arms := []struct {
-		name  string
-		query func(a, bn string)
-	}{
-		{"locked", func(a, bn string) { locked.Related(a, bn, 0) }},
-		{"snapshot", func(a, bn string) { snap.Related(a, bn, 0) }},
-	}
 	for _, workers := range []int{1, 4, 16} {
-		for _, arm := range arms {
-			b.Run(fmt.Sprintf("%s-%dw", arm.name, workers), func(b *testing.B) {
-				var wg sync.WaitGroup
-				per := b.N/workers + 1
-				b.ResetTimer()
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := 0; i < per; i++ {
-							p := pairs[(w+i)%len(pairs)]
-							arm.query(p[0], p[1])
-						}
-					}(w)
-				}
-				wg.Wait()
-			})
-		}
+		b.Run(fmt.Sprintf("snapshot-%dw", workers), func(b *testing.B) {
+			var wg sync.WaitGroup
+			per := b.N/workers + 1
+			b.ResetTimer()
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						p := pairs[(w+i)%len(pairs)]
+						snap.Related(p[0], p[1], 0)
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -682,38 +668,6 @@ func BenchmarkSupervisorProcess(b *testing.B) {
 		if _, err := sup.Process("bench", "user", s.Text); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPruningAblation isolates the pre-parse disjunct pruning
-// pass: the same sentences parsed with and without power pruning.
-func BenchmarkPruningAblation(b *testing.B) {
-	dict, err := linkgrammar.NewEnglishDictionary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Long sentences: the pass is length-gated because short chat
-	// lines parse faster without it.
-	sentences := []string{
-		"the teacher explains the lesson about the binary search tree in the classroom today",
-		"i want to learn the algorithm about the hash table in the course with the students",
-		"the students discuss the homework about the priority queue with the teacher in the room",
-	}
-	for _, tc := range []struct {
-		name string
-		opts linkgrammar.Options
-	}{
-		{"pruned", linkgrammar.Options{MaxNulls: 2}},
-		{"unpruned", linkgrammar.Options{MaxNulls: 2, DisablePruning: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			parser := linkgrammar.NewParser(dict, tc.opts)
-			for i := 0; i < b.N; i++ {
-				if _, err := parser.Parse(sentences[i%len(sentences)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command evalharness regenerates the evaluation of DESIGN.md §4: one
 // experiment per paper figure (E1–E8) plus the scale experiments E9
 // (concurrent rooms through the sharded supervision pipeline, cached
-// vs uncached parses), E10 (lock-free snapshot read path vs the legacy
-// locked ontology), E11 (write-ahead journaling overhead and crash
+// vs uncached parses), E10 (lock-free snapshot read path across worker
+// counts), E11 (write-ahead journaling overhead and crash
 // recovery), E12 (open-loop overload with admission-control shedding),
 // E13 (deterministic scenario-matrix simulation scoring per-persona
 // detection precision/recall), E14 (population-scale chaos sweep:
@@ -406,22 +406,14 @@ func runE10(p params) error {
 	if err != nil {
 		return err
 	}
-	header("E10 lock-free snapshot read path vs locked ontology (D8)")
+	header("E10 lock-free snapshot read path (D8)")
 	fmt.Printf("snapshot v%d: %d items, %d relations, %d table entries (radius %d), max phrase %d\n",
 		res.Snapshot.Version, res.Snapshot.Items, res.Snapshot.Relations,
 		res.Snapshot.TableEntries, res.Snapshot.TableRadius, res.Snapshot.MaxPhraseLen)
-	fmt.Println("path      workers   queries  ns/query   queries/s")
+	fmt.Println("workers   queries  ns/query   queries/s")
 	for _, arm := range res.Arms {
-		fmt.Printf("%-9s %7d  %8d  %8.1f  %10.0f\n",
-			arm.Path, arm.Workers, arm.Queries, arm.NsPerQuery, arm.QueriesPerSec)
-	}
-	workers := make([]int, 0, len(res.Speedup))
-	for w := range res.Speedup {
-		workers = append(workers, w)
-	}
-	sort.Ints(workers)
-	for _, w := range workers {
-		fmt.Printf("speedup at %2d workers: %.1fx\n", w, res.Speedup[w])
+		fmt.Printf("%7d  %8d  %8.1f  %10.0f\n",
+			arm.Workers, arm.Queries, arm.NsPerQuery, arm.QueriesPerSec)
 	}
 	return nil
 }
@@ -486,8 +478,8 @@ func runE15(p params) error {
 		return err
 	}
 	header("E15 wire-to-verdict: text vs binary framing over TCP (D13)")
-	fmt.Printf("rooms: %d   clients/room: %d   messages/client: %d   batch: %v\n",
-		res.Config.Rooms, res.Config.ClientsPerRoom, res.Config.MessagesEach, !res.Config.NoBatch)
+	fmt.Printf("rooms: %d   clients/room: %d   messages/client: %d\n",
+		res.Config.Rooms, res.Config.ClientsPerRoom, res.Config.MessagesEach)
 	fmt.Println("wire     workers   msgs  throughput   allocs/msg   bytes/msg")
 	for _, arm := range res.Arms {
 		fmt.Printf("%-8s %7d  %5d  %8.0f/s  %11.0f  %10.0f\n",

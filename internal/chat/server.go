@@ -224,7 +224,6 @@ func NewServer(opts ServerOptions) *Server {
 			// Without admission control a full shard blocks the
 			// submitting room (backpressure); with it, Submit sheds
 			// instead and the chat layer counts what went unsupervised.
-			Block:           true,
 			Policy:          opts.ShedPolicy,
 			RoomHighWater:   opts.RoomHighWater,
 			GlobalHighWater: opts.GlobalHighWater,
@@ -572,20 +571,7 @@ func (s *Server) handleSay(c *client, text string) {
 		return
 	}
 	deliver := func() {
-		for _, resp := range s.opts.Supervisor.Process(c.room, c.name, text) {
-			msg := Message{
-				Type: TypeAgent, Room: c.room, Agent: resp.Agent,
-				Text: resp.Text, Time: s.clk.Now(), Private: resp.Private,
-			}
-			if s.met != nil {
-				s.met.agentMsgs.Inc()
-			}
-			if resp.Private {
-				s.enqueue(c, msg)
-			} else {
-				s.broadcast(c.room, msg, nil)
-			}
-		}
+		s.deliverResponses(c, c.room, s.opts.Supervisor.Process(c.room, c.name, text))
 	}
 	if s.pipe != nil {
 		// Sharded by room: per-room response order is preserved, rooms
@@ -667,20 +653,26 @@ func (s *Server) superviseBatch(r *room) {
 			users[i], texts[i] = it.user, it.text
 		}
 		for i, resps := range s.batcher.ProcessBatch(r.name, users, texts) {
-			for _, resp := range resps {
-				msg := Message{
-					Type: TypeAgent, Room: r.name, Agent: resp.Agent,
-					Text: resp.Text, Time: s.clk.Now(), Private: resp.Private,
-				}
-				if s.met != nil {
-					s.met.agentMsgs.Inc()
-				}
-				if resp.Private {
-					s.enqueue(items[i].c, msg)
-				} else {
-					s.broadcast(r.name, msg, nil)
-				}
-			}
+			s.deliverResponses(items[i].c, r.name, resps)
+		}
+	}
+}
+
+// deliverResponses sends the supervisor's responses to one message of
+// sender c in room: private ones to c alone, the rest to the room.
+func (s *Server) deliverResponses(c *client, room string, resps []Response) {
+	for _, resp := range resps {
+		msg := Message{
+			Type: TypeAgent, Room: room, Agent: resp.Agent,
+			Text: resp.Text, Time: s.clk.Now(), Private: resp.Private,
+		}
+		if s.met != nil {
+			s.met.agentMsgs.Inc()
+		}
+		if resp.Private {
+			s.enqueue(c, msg)
+		} else {
+			s.broadcast(room, msg, nil)
 		}
 	}
 }

@@ -103,8 +103,10 @@ func newSupMetrics(r *metrics.Registry) *supMetrics {
 }
 
 // registerStoreMetrics exports the counters the corpus and the parse
-// cache already keep, read at scrape time.
-func registerStoreMetrics(r *metrics.Registry, store *corpus.Store, parser *linkgrammar.Parser) {
+// cache already keep, and the ontology snapshot version the vocabulary
+// was last taught from, read at scrape time.
+func (s *Supervisor) registerStoreMetrics(r *metrics.Registry) {
+	store, parser := s.corpus, s.parser
 	r.GaugeFunc("semagent_corpus_records", "learner-corpus records of every verdict",
 		func() int64 { return int64(store.Stats().Records) })
 	r.GaugeFunc("semagent_corpus_suggest_groups", "suggestion-index groups: distinct (content tokens, topics) keys among correct records",
@@ -121,6 +123,10 @@ func registerStoreMetrics(r *metrics.Registry, store *corpus.Store, parser *link
 		func() int64 { return parser.CacheStats().Evictions })
 	r.CounterFunc("semagent_parse_cache_invalidations_total", "whole parse-cache flushes forced by dictionary changes",
 		func() int64 { return parser.CacheStats().Invalidations })
+	// The version the supervisor last pinned, not Snapshot().Version():
+	// a scrape must not compile a snapshot.
+	r.GaugeFunc("semagent_ontology_snapshot_version", "ontology snapshot version the supervisor last taught its vocabulary from",
+		func() int64 { return int64(s.vocabVersion.Load()) })
 }
 
 func (m *supMetrics) record(v corpus.Verdict, start time.Time) {
@@ -221,7 +227,7 @@ func New(cfg Config) (*Supervisor, error) {
 		s.now = timeNow
 	}
 	if r := cfg.Metrics; r != nil {
-		registerStoreMetrics(r, store, parser)
+		s.registerStoreMetrics(r)
 	}
 	if err := s.syncVocabulary(onto.Snapshot()); err != nil {
 		return nil, fmt.Errorf("teach ontology terms: %w", err)

@@ -266,9 +266,27 @@ func TestStoreCountersExported(t *testing.T) {
 		"semagent_corpus_suggest_calls_total",
 		"semagent_corpus_suggest_groups_scored_total",
 		"semagent_parse_cache_misses_total",
+		"semagent_ontology_snapshot_version",
 	} {
 		if got[name] < 1 {
 			t.Errorf("%s = %d, want at least 1", name, got[name])
+		}
+	}
+
+	// The version gauge follows an ontology edit once Process pins the
+	// new snapshot.
+	before := got["semagent_ontology_snapshot_version"]
+	if err := s.Ontology().SetDescription("stack", "a last-in first-out list"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Process("room", "alice", "The stack has a push operation."); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range reg.Snapshot().Families {
+		if f.Name == "semagent_ontology_snapshot_version" {
+			if after := f.Series[0].Value; after <= before {
+				t.Errorf("semagent_ontology_snapshot_version = %d after an ontology edit, want above %d", after, before)
+			}
 		}
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"semagent/internal/ontology"
 )
 
-// E10Config sizes experiment E10 (DESIGN.md §4): the snapshot read path
-// against the legacy locked read path, swept over worker counts. This
-// is the knowledge-layer ablation behind design decision D8 — PR 1's
-// room-sharded pipeline made every worker contend on one ontology
-// RWMutex and re-run a map-allocating Dijkstra per keyword pair; the
-// immutable compiled snapshot removes both.
+// E10Config sizes experiment E10 (DESIGN.md §4): the snapshot read
+// path swept over worker counts. This is the knowledge-layer
+// measurement behind design decision D8 — the room-sharded pipeline
+// (D7) made every worker contend on one ontology RWMutex and re-run a
+// map-allocating Dijkstra per keyword pair; the immutable compiled
+// snapshot removes both.
 type E10Config struct {
 	// Workers lists the concurrency levels to sweep (default 1, 4, 16).
 	Workers []int `json:"workers"`
@@ -24,9 +24,8 @@ type E10Config struct {
 	Seed int64 `json:"seed"`
 }
 
-// E10Arm is one measured (path, workers) cell.
+// E10Arm is one measured worker count.
 type E10Arm struct {
-	Path          string // "locked" or "snapshot"
 	Workers       int
 	Queries       int
 	Elapsed       time.Duration
@@ -34,23 +33,20 @@ type E10Arm struct {
 	QueriesPerSec float64
 }
 
-// E10Result holds the sweep plus the headline speedups, and is emitted
-// as JSON by `evalharness -exp E10 -json` so successive PRs can diff
-// the perf trajectory mechanically.
+// E10Result holds the sweep, and is emitted as JSON by `evalharness
+// -exp E10 -json` so successive PRs can diff the perf trajectory
+// mechanically.
 type E10Result struct {
 	Config E10Config
 	// Snapshot describes the compiled form being measured.
 	Snapshot ontology.SnapshotStats
 	Arms     []E10Arm
-	// Speedup maps worker count -> snapshot-path throughput over
-	// locked-path throughput.
-	Speedup map[int]float64
 }
 
 // e10Pair is one precomputed query of the E10 workload.
 type e10Pair struct{ a, b string }
 
-// RunE10 sweeps both read paths over the same precomputed pair stream.
+// RunE10 sweeps the snapshot read path over a precomputed pair stream.
 // The workload mixes within-threshold pairs (table hits), distant pairs
 // (Dijkstra fallback) and pairs with inflected spellings (fold path),
 // mirroring what the Semantic Agent actually asks per sentence.
@@ -64,30 +60,14 @@ func RunE10(cfg E10Config) (*E10Result, error) {
 
 	onto := ontology.BuildCourseOntology()
 	pairs := e10Pairs(onto, cfg.Seed)
-	res := &E10Result{
-		Config:   cfg,
-		Snapshot: onto.Snapshot().Stats(),
-		Speedup:  make(map[int]float64),
-	}
-
+	snap := onto.Snapshot()
+	res := &E10Result{Config: cfg, Snapshot: snap.Stats()}
 	for _, workers := range cfg.Workers {
-		locked := runE10Arm("locked", workers, cfg.QueriesPerWorker, pairs, func(p e10Pair) {
-			lp := onto.LockedReadPath()
-			if !lp.Related(p.a, p.b, 0) {
-				lp.Distance(p.a, p.b)
-			}
-		})
-		//semalint:allow snapshotonce: the per-arm re-pin is the experiment under measurement; the ontology is not edited mid-run
-		snap := onto.Snapshot()
-		snapshot := runE10Arm("snapshot", workers, cfg.QueriesPerWorker, pairs, func(p e10Pair) {
+		res.Arms = append(res.Arms, runE10Arm(workers, cfg.QueriesPerWorker, pairs, func(p e10Pair) {
 			if !snap.Related(p.a, p.b, 0) {
 				snap.Distance(p.a, p.b)
 			}
-		})
-		res.Arms = append(res.Arms, locked, snapshot)
-		if locked.QueriesPerSec > 0 {
-			res.Speedup[workers] = snapshot.QueriesPerSec / locked.QueriesPerSec
-		}
+		}))
 	}
 	return res, nil
 }
@@ -114,8 +94,8 @@ func e10Pairs(onto *ontology.Ontology, seed int64) []e10Pair {
 	return pairs
 }
 
-func runE10Arm(path string, workers, perWorker int, pairs []e10Pair, query func(e10Pair)) E10Arm {
-	arm := E10Arm{Path: path, Workers: workers, Queries: workers * perWorker}
+func runE10Arm(workers, perWorker int, pairs []e10Pair, query func(e10Pair)) E10Arm {
+	arm := E10Arm{Workers: workers, Queries: workers * perWorker}
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {

@@ -25,9 +25,6 @@ type E15Config struct {
 	MessagesEach int
 	// Seed drives the workload generator.
 	Seed int64
-	// NoBatch disables batched supervision (ServerOptions.BatchSupervise)
-	// for both arms; the default measures the deployed fast path.
-	NoBatch bool
 }
 
 func (c *E15Config) fill() {
@@ -117,7 +114,7 @@ func runE15Arm(cfg E15Config, workers int, wire chat.Wire) (*E15Arm, error) {
 		Supervisor:     sup.ChatSupervisor(),
 		Async:          true,
 		Workers:        workers,
-		BatchSupervise: !cfg.NoBatch,
+		BatchSupervise: true, // both arms measure the deployed fast path
 		// Deep client queues: pipelined senders outrun their own read
 		// loops in bursts, and a dropped client would end the arm.
 		SendQueue: 4096,

@@ -235,15 +235,15 @@ func TestRunE10SnapshotReadPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Arms) != 4 {
-		t.Fatalf("arms = %d, want 4 (2 paths x 2 widths)", len(res.Arms))
+	if len(res.Arms) != 2 {
+		t.Fatalf("arms = %d, want 2 (one per width)", len(res.Arms))
 	}
 	for _, arm := range res.Arms {
 		if arm.Queries != arm.Workers*500 {
-			t.Errorf("%s-%dw queries = %d", arm.Path, arm.Workers, arm.Queries)
+			t.Errorf("%dw queries = %d", arm.Workers, arm.Queries)
 		}
 		if arm.QueriesPerSec <= 0 {
-			t.Errorf("%s-%dw throughput not positive", arm.Path, arm.Workers)
+			t.Errorf("%dw throughput not positive", arm.Workers)
 		}
 	}
 	if res.Snapshot.Items == 0 || res.Snapshot.TableEntries == 0 {

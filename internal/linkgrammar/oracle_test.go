@@ -54,9 +54,6 @@ func oracleParseTokens(p *Parser, tokens []string) (*Result, error) {
 		}
 		st.disjuncts[i] = ds
 	}
-	if !p.opts.DisablePruning {
-		st.disjuncts = pruneDisjuncts(st.disjuncts)
-	}
 	maxNulls := min(p.opts.MaxNulls, len(tokens)-1)
 	for nulls := 0; nulls <= maxNulls; nulls++ {
 		if st.countTotal(nulls) == 0 {
@@ -307,7 +304,7 @@ func (st *oracleState) extract(a, b int, la, lb *connNode, nulls, budget int) []
 // differentialInputs builds the token streams the differential test
 // parses: workload sentences of every kind, the same sentences with
 // their words shuffled (the shape of the Learning_Angel's repair
-// candidates), concatenations long enough to be pruned, and sentences
+// candidates), concatenations of 12 to 18 words, and sentences
 // carrying undefined and numeric words.
 func differentialInputs(seed int64) [][]string {
 	gen := workload.NewGenerator(seed, ontology.BuildCourseOntology())
@@ -326,7 +323,7 @@ func differentialInputs(seed int64) [][]string {
 	}
 	for len(out) < len(base)+40+16 {
 		a, b := base[rng.Intn(len(base))], base[rng.Intn(len(base))]
-		if n := len(a) + len(b); n >= pruneMinWords && n <= 18 {
+		if n := len(a) + len(b); n >= 12 && n <= 18 {
 			out = append(out, append(append([]string(nil), a...), b...))
 		}
 	}
@@ -352,7 +349,7 @@ func describe(res *Result, err error) string {
 }
 
 // TestCompiledKernelMatchesOracle is the parser's differential test:
-// under every option shape the supervisor and the ablations use, and
+// under every option shape the supervisor and the experiments use, and
 // again after the dictionary learns new words and new connector cells,
 // ParseTokens must return exactly what the reference kernel returns.
 func TestCompiledKernelMatchesOracle(t *testing.T) {
@@ -362,12 +359,11 @@ func TestCompiledKernelMatchesOracle(t *testing.T) {
 	}
 	optionSets := map[string]Options{
 		"default":        DefaultOptions(),
-		"no-pruning":     {DisablePruning: true},
 		"max-nulls--1":   {MaxNulls: -1},
 		"max-nulls-0":    {MaxNulls: 0},
 		"max-nulls-2":    {MaxNulls: 2},
 		"max-nulls-3":    {MaxNulls: 3},
-		"three-linkages": {MaxNulls: 3, MaxLinkages: 3, DisablePruning: true},
+		"three-linkages": {MaxNulls: 3, MaxLinkages: 3},
 	}
 	names := make([]string, 0, len(optionSets))
 	for name := range optionSets {

@@ -20,9 +20,6 @@ type Options struct {
 	// Values above 254, the most the parser's memo keys can index, are
 	// lowered to 254.
 	MaxTokens int
-	// DisablePruning turns off the pre-parse disjunct pruning pass
-	// (kept only for the pruning ablation benchmark).
-	DisablePruning bool
 	// CacheSize, when positive, bounds an LRU cache of parse results
 	// keyed on the normalized token stream. 0 leaves caching off at
 	// this layer (package core turns it on for the supervisor — design
@@ -93,9 +90,7 @@ func NewParser(dict *Dictionary, opts Options) *Parser {
 
 // releaseScratch clears the references pooled scratch holds to the
 // sentence's dictionary entries and returns it to the pool, folding the
-// observed memo size into the sizing hint for fresh maps. The regrouped
-// head lists in st.own keep their connector cells, which live as long
-// as the dictionary anyway, so their storage is reused as is.
+// observed memo size into the sizing hint for fresh maps.
 func (p *Parser) releaseScratch(sc *parseScratch) {
 	if sc.st.counts != nil {
 		hint := p.countHint.Load()
@@ -194,7 +189,7 @@ func (p *Parser) ParseTokens(tokens []string) (*Result, error) {
 		sc.st.counts = make(map[uint64]int64, p.countHint.Load())
 	}
 	st := &sc.st
-	st.load(words, sc.ents, view, !p.opts.DisablePruning)
+	st.load(words, sc.ents, view)
 
 	maxNulls := p.opts.MaxNulls
 	if maxNulls > len(tokens)-1 {
@@ -244,16 +239,11 @@ type parseState struct {
 	// matchNo or matchYes. nLeft is the row stride.
 	nLeft   uint
 	matches []uint64
-
-	// own and slot are the storage for regrouping pruned lists.
-	own  []headIndex
-	slot []int32
 }
 
-// load points the state at one sentence's dictionary entries, prunes
-// long sentences (regrouping the words whose lists shrank) and sizes
+// load points the state at one sentence's dictionary entries and sizes
 // the match table from the view's connector counts.
-func (st *parseState) load(words []string, ents []*wordEntry, v dictView, prune bool) {
+func (st *parseState) load(words []string, ents []*wordEntry, v dictView) {
 	n := len(words)
 	st.words = words
 	st.disjuncts = resize(st.disjuncts, n)
@@ -264,19 +254,6 @@ func (st *parseState) load(words []string, ents []*wordEntry, v dictView, prune 
 			st.disjuncts[i], st.heads[i] = e.ds, e.heads
 		}
 	}
-	if prune {
-		pruned := pruneDisjuncts(st.disjuncts)
-		st.own = resize(st.own, n)
-		st.slot = resize(st.slot, int(max(v.cells[0], v.cells[1]))+1)
-		for i := range pruned {
-			if len(pruned[i]) != len(st.disjuncts[i]) {
-				groupHeads(&st.own[i], pruned[i], st.slot)
-				st.heads[i] = st.own[i]
-			}
-		}
-		st.disjuncts = pruned
-	}
-
 	st.nLeft = uint(v.conns[DirLeft-1])
 	st.matches = resize(st.matches, int((uint(v.conns[DirRight-1])*st.nLeft+31)/32))
 	clear(st.matches)

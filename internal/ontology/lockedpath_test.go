@@ -5,21 +5,17 @@ import (
 	"strings"
 )
 
-// LockedReadPath is the pre-snapshot read path: an RWMutex read lock
-// over the live maps, a map-allocating Dijkstra per distance query, and
-// an ExtractTerms that rescans every name to find the longest phrase.
-// The production read path compiles an immutable Snapshot instead
-// (DESIGN.md D8); this adapter is retained only as the measured baseline
-// arm of experiment E10, so the refactor's win stays reproducible.
-type LockedReadPath struct {
+// The read path as it stood before snapshots were compiled: an RWMutex
+// read lock over the live maps, a map-allocating Dijkstra per distance
+// query, and an ExtractTerms that rescans every name to find the
+// longest phrase. It is kept here as the reference the snapshot read
+// path (DESIGN.md D8) must reproduce answer for answer.
+type lockedReadPath struct {
 	o *Ontology
 }
 
-// LockedReadPath returns the legacy locked read-path adapter.
-func (o *Ontology) LockedReadPath() LockedReadPath { return LockedReadPath{o: o} }
-
 // Distance is the legacy locked shortest-path query.
-func (p LockedReadPath) Distance(a, b string) int {
+func (p lockedReadPath) Distance(a, b string) int {
 	o := p.o
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -36,7 +32,7 @@ func (p LockedReadPath) Distance(a, b string) int {
 }
 
 // Related is the legacy locked relatedness query.
-func (p LockedReadPath) Related(a, b string, threshold int) bool {
+func (p lockedReadPath) Related(a, b string, threshold int) bool {
 	if threshold <= 0 {
 		threshold = DefaultRelatedThreshold
 	}
@@ -45,7 +41,7 @@ func (p LockedReadPath) Related(a, b string, threshold int) bool {
 
 // Path is the legacy locked shortest-path reconstruction. The returned
 // steps alias the live items.
-func (p LockedReadPath) Path(a, b string) []PathStep {
+func (p lockedReadPath) Path(a, b string) []PathStep {
 	o := p.o
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -80,7 +76,7 @@ func (p LockedReadPath) Path(a, b string) []PathStep {
 
 // ExtractTerms is the legacy locked greedy matcher, including its
 // per-call max-phrase-length rescan of every name.
-func (p LockedReadPath) ExtractTerms(tokens []string) []TermMatch {
+func (p lockedReadPath) ExtractTerms(tokens []string) []TermMatch {
 	o := p.o
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -110,6 +106,19 @@ func (p LockedReadPath) ExtractTerms(tokens []string) []TermMatch {
 		}
 	}
 	return out
+}
+
+func (o *Ontology) lookupFoldedLocked(name string) (*Item, bool) {
+	key := Normalize(name)
+	if id, ok := o.byName[key]; ok {
+		return o.items[id], true
+	}
+	for _, folded := range pluralFolds(key) {
+		if id, ok := o.byName[folded]; ok {
+			return o.items[id], true
+		}
+	}
+	return nil, false
 }
 
 type prevEdge struct {

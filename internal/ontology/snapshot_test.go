@@ -14,7 +14,7 @@ func TestSnapshotParityWithLockedPath(t *testing.T) {
 	check := func(t *testing.T, o *Ontology) {
 		t.Helper()
 		snap := o.Snapshot()
-		locked := o.LockedReadPath()
+		locked := lockedReadPath{o}
 		items := snap.Items()
 		for i := 0; i < len(items); i++ {
 			for j := i; j < len(items); j++ {
@@ -62,7 +62,7 @@ func pathWeight(steps []PathStep) int {
 func TestSnapshotExtractTermsParity(t *testing.T) {
 	o := BuildCourseOntology()
 	snap := o.Snapshot()
-	locked := o.LockedReadPath()
+	locked := lockedReadPath{o}
 	cases := [][]string{
 		{"the", "binary", "search", "tree", "supports", "insert"},
 		{"stacks", "and", "queues", "are", "linear", "structures"},

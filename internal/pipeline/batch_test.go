@@ -15,7 +15,7 @@ func TestBatchDrainAccounting(t *testing.T) {
 		rooms = 8
 		tasks = 100
 	)
-	p := New(Config{Workers: 2, QueueSize: 16, Block: true, BatchDrain: 8})
+	p := New(Config{Workers: 2, QueueSize: 16, BatchDrain: 8})
 	defer p.Close()
 
 	var mu sync.Mutex
